@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"hamlet/internal/stats"
 )
 
 // TestDecideFromStatsMatchesDecide pins the refactor invariant: collecting
@@ -72,10 +74,9 @@ func TestDecideFromStatsValidates(t *testing.T) {
 	}
 }
 
-// TestCollectStatsChunkedBitIdentical pins the chunked-scan refactor:
-// because H(Y) is a function of the class counts alone, CollectStatsChunked
-// must return a bit-identical DatasetStats (entropy float included) at every
-// chunk size, including sizes larger than the table and the default.
+// TestCollectStatsChunkedBitIdentical pins the deprecated forwarder to
+// CollectStats at any chunk size, and CollectStats' target entropy to the
+// entropy of hand-tabulated class counts.
 func TestCollectStatsChunkedBitIdentical(t *testing.T) {
 	for _, skewY := range []bool{false, true} {
 		d := fixture(2000, 40, 400, skewY)
@@ -83,13 +84,21 @@ func TestCollectStatsChunkedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cs := range []int{1, 7, 500, 100000, 0} {
+		y := d.Entity.Column(d.Target)
+		counts := make([]int, y.Card)
+		for _, v := range y.Data {
+			counts[v]++
+		}
+		if h := stats.EntropyCounts(counts); want.TargetEntropy != h {
+			t.Fatalf("skewY=%v: TargetEntropy = %v, direct entropy %v", skewY, want.TargetEntropy, h)
+		}
+		for _, cs := range []int{1, 7, 100000, 0} {
 			got, err := CollectStatsChunked(d, cs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("chunk %d (skewY=%v): chunked stats diverge:\n%+v\n%+v", cs, skewY, want, got)
+				t.Fatalf("chunk %d (skewY=%v): forwarded stats diverge:\n%+v\n%+v", cs, skewY, want, got)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"hamlet/internal/relational"
@@ -159,31 +161,40 @@ func TestMaterializeUnknownFKs(t *testing.T) {
 	}
 }
 
+// TestMaterializeMatchesMaterializeVia pins the fused gather to the
+// JoinAll oracle on the paper's named plans.
 func TestMaterializeMatchesMaterializeVia(t *testing.T) {
 	d := churn()
 	for _, p := range []Plan{d.JoinAllPlan(), d.NoJoinsPlan(), d.JoinAllNoFKPlan()} {
-		a, err := d.Materialize(p)
+		want, err := materializeVia(d, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := d.MaterializeVia(p)
+		got, err := d.Materialize(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a.Features) != len(b.Features) {
-			t.Fatalf("feature counts differ: %v vs %v", a.FeatureNames(), b.FeatureNames())
+		designsEqual(t, want, got)
+	}
+}
+
+// TestMaterializeMatchesMaterializeViaRandomPlans extends the oracle check
+// to random datasets and plans: same feature order, metadata, labels, and
+// cells, for any mix of joined, avoided, dropped and open-domain FKs.
+func TestMaterializeMatchesMaterializeViaRandomPlans(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		d := randDataset(rng)
+		p := randPlan(rng, d)
+		want, err := materializeVia(d, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range a.Features {
-			fa, fb := a.Features[i], b.Features[i]
-			if fa.Name != fb.Name || fa.Card != fb.Card {
-				t.Fatalf("feature %d schema differs: %+v vs %+v", i, fa, fb)
-			}
-			for r := range fa.Data {
-				if fa.Data[r] != fb.Data[r] {
-					t.Fatalf("feature %q row %d differs", fa.Name, r)
-				}
-			}
+		got, err := d.Materialize(p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		designsEqual(t, want, got)
 	}
 }
 
@@ -311,5 +322,143 @@ func TestVCDimensionLinear(t *testing.T) {
 	}
 	if v := VCDimensionLinear(m, nil); v != 1 {
 		t.Fatalf("VC dim of empty set = %d, want 1", v)
+	}
+}
+
+// materializeVia is the test oracle for Materialize: it builds the same
+// design matrix through the generic relational.JoinAll operator instead of
+// the fused gather, in Materialize's feature order.
+func materializeVia(d *Dataset, p Plan) (*Design, error) {
+	var fks []relational.ForeignKey
+	attrs := make(map[string]*relational.Table)
+	for _, at := range d.Attrs {
+		if contains(p.JoinFKs, at.FK) {
+			fks = append(fks, relational.ForeignKey{Column: at.FK, Refs: at.Table.Name, ClosedDomain: at.ClosedDomain})
+			attrs[at.Table.Name] = at.Table
+		}
+	}
+	joined, err := relational.JoinAll(d.Entity, fks, attrs)
+	if err != nil {
+		return nil, err
+	}
+	y := joined.Column(d.Target)
+	out := &Design{NumClasses: y.Card, Y: y.Data}
+	appendCol := func(name, source string, isFK bool) error {
+		c := joined.Column(name)
+		if c == nil {
+			return fmt.Errorf("dataset %q: column %q missing after join", d.Name, name)
+		}
+		out.Features = append(out.Features, Feature{Name: c.Name, Card: c.Card, Data: c.Data, Source: source, IsFK: isFK})
+		return nil
+	}
+	for _, name := range d.HomeFeatures {
+		if err := appendCol(name, "S", false); err != nil {
+			return nil, err
+		}
+	}
+	for _, at := range d.Attrs {
+		if at.ClosedDomain && !contains(p.DropFKs, at.FK) {
+			if err := appendCol(at.FK, "S", true); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, at := range d.Attrs {
+		if !contains(p.JoinFKs, at.FK) {
+			continue
+		}
+		for _, rc := range at.Table.Columns() {
+			if err := appendCol(rc.Name, at.Table.Name, false); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
+}
+
+// randDataset builds a random normalized dataset: an entity table with a
+// target, a few home features, and nAttrs attribute tables behind FKs with
+// random closed/open domains.
+func randDataset(rng *rand.Rand) *Dataset {
+	nS := rng.Intn(120)
+	entity := relational.NewTable("S")
+	yCard := 2 + rng.Intn(3)
+	yData := make([]int32, nS)
+	for i := range yData {
+		yData[i] = int32(rng.Intn(yCard))
+	}
+	entity.MustAddColumn(&relational.Column{Name: "Y", Card: yCard, Data: yData})
+	var home []string
+	for h := 0; h < 1+rng.Intn(3); h++ {
+		card := 1 + rng.Intn(6)
+		data := make([]int32, nS)
+		for i := range data {
+			data[i] = int32(rng.Intn(card))
+		}
+		name := "H" + string(rune('a'+h))
+		entity.MustAddColumn(&relational.Column{Name: name, Card: card, Data: data})
+		home = append(home, name)
+	}
+	d := &Dataset{Name: "Rand", Entity: entity, Target: "Y", HomeFeatures: home}
+	for a := 0; a < rng.Intn(3); a++ {
+		nR := 1 + rng.Intn(25)
+		attr := relational.NewTable("R" + string(rune('0'+a)))
+		for j := 0; j < 1+rng.Intn(3); j++ {
+			card := 1 + rng.Intn(8)
+			data := make([]int32, nR)
+			for i := range data {
+				data[i] = int32(rng.Intn(card))
+			}
+			attr.MustAddColumn(&relational.Column{Name: "F" + string(rune('0'+a)) + string(rune('a'+j)), Card: card, Data: data})
+		}
+		fk := make([]int32, nS)
+		for i := range fk {
+			fk[i] = int32(rng.Intn(nR))
+		}
+		fkName := "FK" + string(rune('0'+a))
+		entity.MustAddColumn(&relational.Column{Name: fkName, Card: nR, Data: fk})
+		d.Attrs = append(d.Attrs, AttributeTable{Table: attr, FK: fkName, ClosedDomain: rng.Intn(3) > 0})
+	}
+	return d
+}
+
+// randPlan picks a random valid plan over d's FKs.
+func randPlan(rng *rand.Rand, d *Dataset) Plan {
+	var p Plan
+	for _, at := range d.Attrs {
+		if !at.ClosedDomain || rng.Intn(2) == 0 {
+			p.JoinFKs = append(p.JoinFKs, at.FK)
+		}
+		if at.ClosedDomain && rng.Intn(3) == 0 {
+			p.DropFKs = append(p.DropFKs, at.FK)
+		}
+	}
+	return p
+}
+
+// designsEqual compares metadata and every cell of two designs.
+func designsEqual(t *testing.T, want, got *Design) {
+	t.Helper()
+	if got.NumClasses != want.NumClasses || got.NumFeatures() != want.NumFeatures() || got.NumRows() != want.NumRows() {
+		t.Fatalf("shape: got (%d classes, %d feats, %d rows), want (%d, %d, %d)",
+			got.NumClasses, got.NumFeatures(), got.NumRows(), want.NumClasses, want.NumFeatures(), want.NumRows())
+	}
+	for i := range want.Y {
+		if got.Y[i] != want.Y[i] {
+			t.Fatalf("Y[%d]: got %d, want %d", i, got.Y[i], want.Y[i])
+		}
+	}
+	for f := range want.Features {
+		wf, gf := &want.Features[f], &got.Features[f]
+		if gf.Name != wf.Name || gf.Card != wf.Card || gf.Source != wf.Source || gf.IsFK != wf.IsFK {
+			t.Fatalf("feature %d metadata: got %+v, want %+v", f,
+				Feature{Name: gf.Name, Card: gf.Card, Source: gf.Source, IsFK: gf.IsFK},
+				Feature{Name: wf.Name, Card: wf.Card, Source: wf.Source, IsFK: wf.IsFK})
+		}
+		for i := range wf.Data {
+			if gf.Data[i] != wf.Data[i] {
+				t.Fatalf("feature %q row %d: got %d, want %d", wf.Name, i, gf.Data[i], wf.Data[i])
+			}
+		}
 	}
 }

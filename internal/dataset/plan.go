@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hamlet/internal/obs"
-	"hamlet/internal/relational"
 )
 
 // Materialization instrumentation: designs built, rows and cells gathered
@@ -124,57 +123,5 @@ func (d *Dataset) Materialize(p Plan) (*Design, error) {
 	materializeRows.Add(int64(out.NumRows()))
 	materializeCells.Add(int64(out.NumRows()) * int64(out.NumFeatures()))
 	materializeHist.Observe(int64(out.NumRows()))
-	return out, nil
-}
-
-// MaterializeVia builds the same design matrix as Materialize but goes
-// through the generic relational.JoinAll operator instead of the fused
-// gather; it exists so tests can cross-check the two paths. Feature order
-// matches Materialize.
-func (d *Dataset) MaterializeVia(p Plan) (*Design, error) {
-	var fks []relational.ForeignKey
-	attrs := make(map[string]*relational.Table)
-	for _, at := range d.Attrs {
-		if contains(p.JoinFKs, at.FK) {
-			fks = append(fks, relational.ForeignKey{Column: at.FK, Refs: at.Table.Name, ClosedDomain: at.ClosedDomain})
-			attrs[at.Table.Name] = at.Table
-		}
-	}
-	joined, err := relational.JoinAll(d.Entity, fks, attrs)
-	if err != nil {
-		return nil, err
-	}
-	y := joined.Column(d.Target)
-	out := &Design{NumClasses: y.Card, Y: y.Data}
-	appendCol := func(name, source string, isFK bool) error {
-		c := joined.Column(name)
-		if c == nil {
-			return fmt.Errorf("dataset %q: column %q missing after join", d.Name, name)
-		}
-		out.Features = append(out.Features, Feature{Name: c.Name, Card: c.Card, Data: c.Data, Source: source, IsFK: isFK})
-		return nil
-	}
-	for _, name := range d.HomeFeatures {
-		if err := appendCol(name, "S", false); err != nil {
-			return nil, err
-		}
-	}
-	for _, at := range d.Attrs {
-		if at.ClosedDomain && !contains(p.DropFKs, at.FK) {
-			if err := appendCol(at.FK, "S", true); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, at := range d.Attrs {
-		if !contains(p.JoinFKs, at.FK) {
-			continue
-		}
-		for _, rc := range at.Table.Columns() {
-			if err := appendCol(rc.Name, at.Table.Name, false); err != nil {
-				return nil, err
-			}
-		}
-	}
 	return out, nil
 }

@@ -185,7 +185,17 @@ func equalWidth(name string, values []float64, bins int) (*Column, error) {
 // write everything as codes.
 func WriteCSV(t *Table, w io.Writer, dicts map[string]*Dictionary) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(t.ColumnNames()); err != nil {
+	write := func(rec []string) error {
+		if len(rec) == 1 && rec[0] == "" {
+			// csv.Writer leaves a lone empty field unquoted, and the empty
+			// line it writes reads back as no record at all.
+			cw.Flush()
+			_, err := io.WriteString(w, "\"\"\n")
+			return err
+		}
+		return cw.Write(rec)
+	}
+	if err := write(t.ColumnNames()); err != nil {
 		return err
 	}
 	cols := t.Columns()
@@ -199,7 +209,7 @@ func WriteCSV(t *Table, w io.Writer, dicts map[string]*Dictionary) error {
 				rec[ci] = strconv.Itoa(int(v))
 			}
 		}
-		if err := cw.Write(rec); err != nil {
+		if err := write(rec); err != nil {
 			return err
 		}
 	}

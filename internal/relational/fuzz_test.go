@@ -6,19 +6,19 @@ import (
 	"testing"
 )
 
-// FuzzStreamJoin builds an arbitrary (entity, attribute) pair from fuzz
-// bytes and checks the streaming executor's equivalence contract against the
-// materializing reference: StreamJoin drained through MaterializeSource must
-// produce exactly Join's output at every chunk size, and the streaming
-// FD/distinct consumers must agree with their materialized originals. It
-// must never panic. Run `go test -fuzz=FuzzStreamJoin ./internal/relational`
-// to explore beyond the seeds; CI runs a short leg on every push.
-func FuzzStreamJoin(f *testing.F) {
+// FuzzJoin builds an arbitrary (entity, attribute) pair from fuzz bytes and
+// checks Join against the row-at-a-time oracle: the output keeps the entity
+// columns, every gathered cell equals r[fk[i]], and FK → X_R holds. The same
+// entity with one FK code pushed out of [0, n_R) by the dangle input must be
+// rejected as a dangling RID. It must never panic. Run
+// `go test -fuzz=FuzzJoin ./internal/relational` to explore beyond the
+// seeds; CI runs a short leg on every push.
+func FuzzJoin(f *testing.F) {
 	f.Add([]byte{0, 1, 2}, []byte{3, 1, 4, 1, 5}, 1)
 	f.Add([]byte{}, []byte{0}, 3)
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, []byte{1, 2}, 1000)
 	f.Add([]byte{255, 0, 127}, []byte{255, 255, 0}, 0)
-	f.Fuzz(func(t *testing.T, fkBytes, rBytes []byte, chunk int) {
+	f.Fuzz(func(t *testing.T, fkBytes, rBytes []byte, dangle int) {
 		if len(rBytes) == 0 || len(rBytes) > 1<<10 || len(fkBytes) > 1<<12 {
 			return
 		}
@@ -39,54 +39,24 @@ func FuzzStreamJoin(f *testing.F) {
 		s.MustAddColumn(&Column{Name: "sH", Card: 4, Data: home})
 		s.MustAddColumn(&Column{Name: "FK", Card: nR, Data: fk})
 
-		want, err := Join(s, "FK", r)
+		got, err := Join(s, "FK", r)
 		if err != nil {
-			t.Fatalf("reference join rejected a valid input: %v", err)
+			t.Fatalf("join rejected a valid input: %v", err)
 		}
-		src, err := StreamJoin(NewTableSource(s, chunk%97), "FK", r)
-		if err != nil {
-			t.Fatalf("stream join rejected a valid input: %v", err)
-		}
-		got, err := MaterializeSource(want.Name, src)
-		if err != nil {
-			t.Fatalf("stream drain failed: %v", err)
-		}
-		if got.NumRows() != want.NumRows() || got.NumCols() != want.NumCols() {
-			t.Fatalf("shape mismatch: streamed %s, materialized %s", got, want)
-		}
-		for ci, wc := range want.Columns() {
-			gc := got.Columns()[ci]
-			for i := range wc.Data {
-				if gc.Data[i] != wc.Data[i] {
-					t.Fatalf("cell (%d,%q): streamed %d, materialized %d", i, wc.Name, gc.Data[i], wc.Data[i])
-				}
-			}
-		}
+		checkGathered(t, s, []ForeignKey{{Column: "FK", Refs: "R"}}, map[string]*Table{"R": r}, got)
 
-		wantFD, err := HoldsFD(want, "FK", "rF")
-		if err != nil {
-			t.Fatal(err)
+		if len(fk) == 0 {
+			return
 		}
-		src.Reset()
-		gotFD, err := HoldsFDSource(src, "FK", "rF")
-		if err != nil {
-			t.Fatal(err)
+		bad := s.Clone()
+		row := uint(dangle) % uint(len(fk))
+		rid := int32(nR) + int32(uint(dangle)%5)
+		if dangle < 0 {
+			rid = -1 - int32(uint(dangle)%5)
 		}
-		if gotFD != wantFD {
-			t.Fatalf("FD FK→rF: streamed %v, materialized %v", gotFD, wantFD)
-		}
-
-		wantQ, err := DistinctJointValues(want, "sH", "rF")
-		if err != nil {
-			t.Fatal(err)
-		}
-		src.Reset()
-		gotQ, err := DistinctJointValuesSource(src, "sH", "rF")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotQ != wantQ {
-			t.Fatalf("distinct(sH,rF): streamed %d, materialized %d", gotQ, wantQ)
+		bad.Column("FK").Data[row] = rid
+		if _, err := Join(bad, "FK", r); err == nil || !strings.Contains(err.Error(), "RID") {
+			t.Fatalf("dangling RID %d at row %d not rejected: err=%v", rid, row, err)
 		}
 	})
 }

@@ -105,61 +105,3 @@ func JoinAll(s *Table, fks []ForeignKey, attrs map[string]*Table) (*Table, error
 	}
 	return cur, nil
 }
-
-// HoldsFD reports whether the functional dependency det → dep holds in the
-// table: any two rows that agree on det also agree on dep. It runs in one
-// pass with a map from det value to the first observed dep value.
-//
-// The paper's Proposition 3.1 rests on the fact that a KFK join materializes
-// the FD FK → X_R in T; tests use HoldsFD to verify that Join preserves it.
-func HoldsFD(t *Table, det, dep string) (bool, error) {
-	d := t.Column(det)
-	if d == nil {
-		return false, fmt.Errorf("relational: FD check: no column %q", det)
-	}
-	e := t.Column(dep)
-	if e == nil {
-		return false, fmt.Errorf("relational: FD check: no column %q", dep)
-	}
-	seen := make(map[int32]int32, d.Card)
-	for i := range d.Data {
-		k := d.Data[i]
-		if v, ok := seen[k]; ok {
-			if v != e.Data[i] {
-				return false, nil
-			}
-		} else {
-			seen[k] = e.Data[i]
-		}
-	}
-	return true, nil
-}
-
-// DistinctJointValues returns the number of distinct value combinations of
-// the named columns in the table. This is the quantity q_R of §4.2 — the
-// number of unique values of U_R taken jointly in R — which upper-bounds the
-// VC dimension of any classifier restricted to those features.
-func DistinctJointValues(t *Table, names ...string) (int, error) {
-	cols := make([]*Column, len(names))
-	for i, n := range names {
-		c := t.Column(n)
-		if c == nil {
-			return 0, fmt.Errorf("relational: distinct: no column %q", n)
-		}
-		cols[i] = c
-	}
-	if len(cols) == 0 {
-		return 0, nil
-	}
-	seen := make(map[string]struct{})
-	key := make([]byte, 0, len(cols)*4)
-	for row := 0; row < t.NumRows(); row++ {
-		key = key[:0]
-		for _, c := range cols {
-			v := c.Data[row]
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		seen[string(key)] = struct{}{}
-	}
-	return len(seen), nil
-}

@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -250,7 +251,7 @@ func TestJoinMaterializesFD(t *testing.T) {
 			return false
 		}
 		for _, dep := range []string{"F1", "F2"} {
-			ok, err := HoldsFD(joined, "FK", dep)
+			ok, err := HoldsFDSet(joined, []FD{{Det: []string{"FK"}, Dep: []string{dep}}})
 			if err != nil || !ok {
 				return false
 			}
@@ -265,17 +266,17 @@ func TestHoldsFDNegative(t *testing.T) {
 	tab := NewTable("T")
 	tab.MustAddColumn(mkCol("a", 2, 0, 0, 1))
 	tab.MustAddColumn(mkCol("b", 2, 0, 1, 0))
-	ok, err := HoldsFD(tab, "a", "b")
+	ok, err := HoldsFDSet(tab, []FD{{Det: []string{"a"}, Dep: []string{"b"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Fatal("FD a→b should not hold")
 	}
-	if _, err := HoldsFD(tab, "missing", "b"); err == nil {
+	if _, err := HoldsFDSet(tab, []FD{{Det: []string{"missing"}, Dep: []string{"b"}}}); err == nil {
 		t.Fatal("missing determinant accepted")
 	}
-	if _, err := HoldsFD(tab, "a", "missing"); err == nil {
+	if _, err := HoldsFDSet(tab, []FD{{Det: []string{"a"}, Dep: []string{"missing"}}}); err == nil {
 		t.Fatal("missing dependent accepted")
 	}
 }
@@ -284,23 +285,52 @@ func TestDistinctJointValues(t *testing.T) {
 	tab := NewTable("R")
 	tab.MustAddColumn(mkCol("a", 2, 0, 0, 1, 1))
 	tab.MustAddColumn(mkCol("b", 2, 0, 0, 0, 1))
-	n, err := DistinctJointValues(tab, "a", "b")
+	n, err := distinctJointValues(tab, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 3 {
 		t.Fatalf("distinct joint values = %d, want 3", n)
 	}
-	n, err = DistinctJointValues(tab, "a")
+	n, err = distinctJointValues(tab, "a")
 	if err != nil || n != 2 {
 		t.Fatalf("distinct single = %d (%v), want 2", n, err)
 	}
-	if _, err := DistinctJointValues(tab, "zz"); err == nil {
+	if _, err := distinctJointValues(tab, "zz"); err == nil {
 		t.Fatal("missing column accepted")
 	}
-	if n, _ := DistinctJointValues(tab); n != 0 {
+	if n, _ := distinctJointValues(tab); n != 0 {
 		t.Fatal("no columns should give 0 distinct values")
 	}
+}
+
+// distinctJointValues returns the number of distinct value combinations of
+// the named columns in the table. This is the quantity q_R of §4.2 — the
+// number of unique values of U_R taken jointly in R — which upper-bounds the
+// VC dimension of any classifier restricted to those features.
+func distinctJointValues(t *Table, names ...string) (int, error) {
+	cols := make([]*Column, len(names))
+	for i, n := range names {
+		c := t.Column(n)
+		if c == nil {
+			return 0, fmt.Errorf("relational: distinct: no column %q", n)
+		}
+		cols[i] = c
+	}
+	if len(cols) == 0 {
+		return 0, nil
+	}
+	seen := make(map[string]struct{})
+	key := make([]byte, 0, len(cols)*4)
+	for row := 0; row < t.NumRows(); row++ {
+		key = key[:0]
+		for _, c := range cols {
+			v := c.Data[row]
+			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+		}
+		seen[string(key)] = struct{}{}
+	}
+	return len(seen), nil
 }
 
 // TestDistinctBoundsVC verifies the §3.2 inequality |D_FK| >= r where r is
@@ -319,7 +349,7 @@ func TestDistinctBoundsVC(t *testing.T) {
 		}
 		r.MustAddColumn(&Column{Name: "a", Card: 3, Data: a})
 		r.MustAddColumn(&Column{Name: "b", Card: 3, Data: b})
-		q, err := DistinctJointValues(r, "a", "b")
+		q, err := distinctJointValues(r, "a", "b")
 		return err == nil && q <= nR && q >= 1
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -121,7 +121,7 @@ type Server struct {
 	// advTR and advROR are the two rule configurations, shared across
 	// requests (Advisors are immutable here).
 	advTR, advROR *core.Advisor
-	mux           *http.ServeMux
+	handler       http.Handler
 	httpSrv       *http.Server
 	// ready flips true after Preload and false at Shutdown; readyz serves
 	// it.
@@ -215,13 +215,19 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	s.mux = mux
-	s.httpSrv = &http.Server{Handler: mux}
+	// Every route counts toward inFlight, the debug endpoints too, so
+	// Shutdown never mistakes a running pprof profile for an idle server.
+	s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.inFlight.Add(1)
+		defer s.inFlight.Add(-1)
+		mux.ServeHTTP(w, r)
+	})
+	s.httpSrv = &http.Server{Handler: s.handler}
 	return s
 }
 
 // Handler returns the server's routing handler (httptest and embedding).
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // Registry exposes the backing statistics registry.
 func (s *Server) Registry() *registry.Registry { return s.reg }
@@ -254,9 +260,16 @@ func (s *Server) Serve(ln net.Listener) error {
 // stop routing), the listener closes, and in-flight requests run to
 // completion or the context deadline, whichever first. The error is
 // http.Server.Shutdown's (ctx expiry when requests did not drain in time).
+// net/http counts a connection that has not sent a request as busy until it
+// is 5 s old, so a deadline that expires with no request in flight is not a
+// failed drain: the remaining connections are closed and Shutdown returns nil.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false)
-	return s.httpSrv.Shutdown(ctx)
+	err := s.httpSrv.Shutdown(ctx)
+	if err != nil && ctx.Err() != nil && s.inFlight.Load() == 0 {
+		return s.httpSrv.Close()
+	}
+	return err
 }
 
 // Stats reports the instrumented request count and its 4xx/5xx subset.
@@ -322,12 +335,10 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		if st.span != nil {
 			r = r.WithContext(withSpan(r.Context(), st.span))
 		}
-		s.inFlight.Add(1)
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		h(rec, r)
 		elapsed := time.Since(start)
-		s.inFlight.Add(-1)
 		hist.Observe(elapsed.Nanoseconds())
 		s.requests.Add(1)
 		s.wreq.Inc()

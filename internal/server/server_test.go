@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -425,5 +427,48 @@ func TestShutdownDeadlineExpires(t *testing.T) {
 	}
 	if err := <-serveDone; err != nil {
 		t.Errorf("Serve: %v", err)
+	}
+}
+
+// TestShutdownClosesUnusedConnection: a client that dialed but never sent a
+// request must not make an idle server's drain fail. net/http reports such
+// a connection as busy for its first 5 s, so Shutdown's deadline expires
+// with nothing in flight; Shutdown then closes the connection and succeeds.
+func TestShutdownClosesUnusedConnection(t *testing.T) {
+	s := New(testConfig())
+	if err := s.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve(ln) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The accept loop takes connections in order, so a served request
+	// proves the server already holds the unused one.
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	http.DefaultClient.CloseIdleConnections()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with only an unused connection open: %v", err)
+	}
+	if err := <-serveDone; err != nil {
+		t.Errorf("Serve: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("unused connection still open after Shutdown: read err = %v", err)
 	}
 }

@@ -270,7 +270,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 	xrIdx := m.FeatureIndex("XR0")
 	tab.MustAddColumn(&relational.Column{Name: "FK", Card: m.Features[fkIdx].Card, Data: m.Features[fkIdx].Data})
 	tab.MustAddColumn(&relational.Column{Name: "XR0", Card: 2, Data: m.Features[xrIdx].Data})
-	ok, err := relational.HoldsFD(tab, "FK", "XR0")
+	ok, err := relational.HoldsFDSet(tab, []relational.FD{{Det: []string{"FK"}, Dep: []string{"XR0"}}})
 	if err != nil || !ok {
 		t.Fatalf("FD violated in materialized dataset (err=%v)", err)
 	}
